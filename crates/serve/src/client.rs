@@ -31,7 +31,8 @@ pub struct ReplayConfig {
     pub chaos: Option<ChaosPlan>,
     /// Pause between outbound chunks — a crude rate limiter;
     /// `Duration::ZERO` blasts the daemon as fast as TCP accepts
-    /// (the overload condition).
+    /// (the overload condition): without chaos, the whole stream goes
+    /// out in one write.
     pub pacing: Duration,
 }
 
@@ -68,7 +69,21 @@ pub struct ReplayReport {
 /// Builds the deterministic outbound frame sequence for a config:
 /// Hello, round-robin interleaved Step frames across all patients,
 /// per-patient EndSession, Goodbye.
-pub fn build_frames(cfg: &ReplayConfig) -> Vec<Frame> {
+///
+/// Fails with [`io::ErrorKind::InvalidInput`] unless `patients` is in
+/// `1..=`[`CampaignConfig::MAX_PATIENTS`] and `steps` is positive.
+pub fn build_frames(cfg: &ReplayConfig) -> io::Result<Vec<Frame>> {
+    if !(1..=CampaignConfig::MAX_PATIENTS).contains(&cfg.patients) || cfg.steps == 0 {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!(
+                "replay needs 1..={} patients and at least one step (got {} patients, {} steps)",
+                CampaignConfig::MAX_PATIENTS,
+                cfg.patients,
+                cfg.steps
+            ),
+        ));
+    }
     let traces = CampaignConfig::new(SimulatorKind::Glucosym)
         .patients(cfg.patients)
         .runs_per_patient(1)
@@ -97,14 +112,14 @@ pub fn build_frames(cfg: &ReplayConfig) -> Vec<Frame> {
         });
     }
     frames.push(Frame::Goodbye);
-    frames
+    Ok(frames)
 }
 
 /// Runs one replay session against a live daemon and reports what came
 /// back. The reader runs on its own thread so server backpressure
 /// frames are consumed while the writer is still streaming.
 pub fn replay(cfg: &ReplayConfig) -> io::Result<ReplayReport> {
-    let frames = build_frames(cfg);
+    let frames = build_frames(cfg)?;
     let sent_steps = frames
         .iter()
         .filter(|f| matches!(f, Frame::Step { .. }))
@@ -122,6 +137,7 @@ pub fn replay(cfg: &ReplayConfig) -> io::Result<ReplayReport> {
             chunks.push(encoded[n - 1].clone());
             chunks
         }
+        None if cfg.pacing.is_zero() => vec![encoded.concat()],
         None => encoded,
     };
 

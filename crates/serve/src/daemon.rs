@@ -4,7 +4,10 @@
 //! moves bytes. Each shard sits behind its own mutex — connection
 //! readers lock it just long enough to [`Shard::offer`], the tick thread
 //! just long enough to [`Shard::tick`] — so a slow client can never
-//! stall the engine. Outbound frames go through **bounded** per-
+//! stall the engine. The tick thread is event-driven: it ticks while any
+//! shard queue holds work and otherwise sleeps until an accepted offer
+//! or shutdown wakes it, so a record on an idle daemon is classified as
+//! soon as it is read. Outbound frames go through **bounded** per-
 //! connection channels: when a client stops reading, its channel fills
 //! and further verdict frames are *dropped and counted* rather than
 //! blocking the tick thread (the slow-client policy the daemon tests
@@ -23,14 +26,16 @@ use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use cpsmon_core::artifact::MonitorBundle;
 
 use crate::protocol::{ErrorCode, Frame, FrameDecoder, PROTOCOL_VERSION};
-use crate::shard::{IngestItem, IngestKind, OutEvent, ServingBundle, Shard, ShardConfig};
+use crate::shard::{
+    IngestItem, IngestKind, OfferError, OutEvent, ServingBundle, Shard, ShardConfig,
+};
 
 /// Global SIGTERM/SIGINT latch (see [`install_signal_handlers`]).
 static SIGNALLED: AtomicBool = AtomicBool::new(false);
@@ -74,8 +79,6 @@ pub struct ServeConfig {
     pub shards: usize,
     /// Per-shard engine tuning.
     pub shard: ShardConfig,
-    /// Sleep between engine ticks when queues are idle.
-    pub tick_interval: Duration,
     /// Where to write the sorted verdict log at shutdown (`None`
     /// disables logging).
     pub verdict_log: Option<PathBuf>,
@@ -91,7 +94,6 @@ impl Default for ServeConfig {
                 tick_budget: Some(Duration::from_millis(50)),
                 ..ShardConfig::default()
             },
-            tick_interval: Duration::from_millis(1),
             verdict_log: None,
         }
     }
@@ -115,8 +117,14 @@ struct Inner {
     shards: Vec<Mutex<Shard>>,
     /// Outbound frame channel per live connection.
     writers: Mutex<HashMap<u64, SyncSender<Vec<u8>>>>,
-    log: Mutex<Vec<LogRow>>,
+    /// The shutdown log's path and the verdicts kept for it; `None`
+    /// when no log is configured, so such a daemon retains nothing.
+    log: Option<(PathBuf, Mutex<Vec<LogRow>>)>,
     shutdown: AtomicBool,
+    /// Work-pending flag the tick thread sleeps on (with `wake`) while
+    /// every shard queue is empty; set by accepted offers and shutdown.
+    pending: Mutex<bool>,
+    wake: Condvar,
     next_conn: AtomicU64,
     /// Verdict frames dropped because a client's outbound channel was
     /// full (slow-client policy).
@@ -126,6 +134,48 @@ struct Inner {
 impl Inner {
     fn shard_for(&self, patient: u64) -> &Mutex<Shard> {
         &self.shards[(patient % self.shards.len() as u64) as usize]
+    }
+
+    /// Offers an item to its patient's shard and wakes the tick thread
+    /// if it was accepted; a rejection comes back as the `Busy` frame to
+    /// answer with.
+    fn offer(&self, item: IngestItem) -> Result<(), Frame> {
+        let patient = item.patient;
+        let res = self
+            .shard_for(patient)
+            .lock()
+            .expect("shard lock")
+            .offer(item);
+        match res {
+            Ok(()) => {
+                self.wake_ticker();
+                Ok(())
+            }
+            Err(OfferError::QueueFull { queue_len }) => Err(Frame::Busy {
+                patient,
+                queue_len: queue_len as u32,
+            }),
+        }
+    }
+
+    /// Sets the pending flag and wakes the tick thread. Only a clear
+    /// flag needs a notify: a set one means the tick thread has not yet
+    /// rescanned the queues, so it will see this work without one.
+    fn wake_ticker(&self) {
+        let mut pending = self.pending.lock().expect("pending lock");
+        if !*pending {
+            *pending = true;
+            self.wake.notify_one();
+        }
+    }
+
+    /// Tick-thread side of [`Inner::wake_ticker`]: blocks until the
+    /// pending flag is set.
+    fn wait_for_work(&self) {
+        let mut pending = self.pending.lock().expect("pending lock");
+        while !*pending {
+            pending = self.wake.wait(pending).expect("pending lock");
+        }
     }
 
     /// Queues an encoded frame to a connection, dropping it (counted)
@@ -155,14 +205,16 @@ impl Inner {
                     health,
                     shed,
                 } => {
-                    self.log.lock().expect("log lock").push(LogRow {
-                        patient,
-                        step,
-                        label,
-                        proba,
-                        health,
-                        shed,
-                    });
+                    if let Some((_, rows)) = &self.log {
+                        rows.lock().expect("log lock").push(LogRow {
+                            patient,
+                            step,
+                            label,
+                            proba,
+                            health,
+                            shed,
+                        });
+                    }
                     let frame = Frame::Verdict {
                         patient,
                         step,
@@ -197,7 +249,6 @@ pub struct Daemon {
     addr: std::net::SocketAddr,
     admin_addr: Option<std::net::SocketAddr>,
     threads: Vec<JoinHandle<()>>,
-    verdict_log: Option<PathBuf>,
 }
 
 impl Daemon {
@@ -222,8 +273,12 @@ impl Daemon {
                 .map(|_| Mutex::new(Shard::new(config.shard, bundle.clone())))
                 .collect(),
             writers: Mutex::new(HashMap::new()),
-            log: Mutex::new(Vec::new()),
+            log: config
+                .verdict_log
+                .map(|path| (path, Mutex::new(Vec::new()))),
             shutdown: AtomicBool::new(false),
+            pending: Mutex::new(false),
+            wake: Condvar::new(),
             next_conn: AtomicU64::new(1),
             dropped_frames: AtomicU64::new(0),
         });
@@ -233,19 +288,22 @@ impl Daemon {
         // Tick thread: the only thread that advances the engines.
         {
             let inner = Arc::clone(&inner);
-            let interval = config.tick_interval;
             threads.push(std::thread::spawn(move || loop {
+                // Clear the flag *before* scanning: an offer the scan
+                // misses lands after this point and sets it again, so
+                // the wait below cannot lose its wakeup.
+                *inner.pending.lock().expect("pending lock") = false;
                 let mut worked = false;
                 for shard in &inner.shards {
-                    let events = {
-                        let mut s = shard.lock().expect("shard lock");
-                        if s.queue_len() == 0 {
-                            continue;
-                        }
+                    // Dispatch before unlocking: an empty queue then means
+                    // every accepted record's frame is already in its
+                    // channel, which `wait_for_drain` relies on to send
+                    // `Bye` after the last verdict.
+                    let mut s = shard.lock().expect("shard lock");
+                    if s.queue_len() > 0 {
                         worked = true;
-                        s.tick()
-                    };
-                    inner.dispatch(events);
+                        inner.dispatch(s.tick());
+                    }
                 }
                 if inner.shutdown.load(Ordering::SeqCst) {
                     // Drain whatever is still queued, then stop.
@@ -258,7 +316,7 @@ impl Daemon {
                         break;
                     }
                 } else if !worked {
-                    std::thread::sleep(interval);
+                    inner.wait_for_work();
                 }
             }));
         }
@@ -308,7 +366,6 @@ impl Daemon {
             addr,
             admin_addr,
             threads,
-            verdict_log: config.verdict_log,
         })
     }
 
@@ -342,6 +399,7 @@ impl Daemon {
     /// files.
     pub fn shutdown(mut self) -> io::Result<()> {
         self.inner.shutdown.store(true, Ordering::SeqCst);
+        self.inner.wake_ticker();
         for t in self.threads.drain(..) {
             let _ = t.join();
         }
@@ -359,8 +417,8 @@ impl Daemon {
                 self.inner.dispatch(events);
             }
         }
-        if let Some(path) = &self.verdict_log {
-            let mut rows = self.inner.log.lock().expect("log lock").clone();
+        if let Some((path, rows)) = &self.inner.log {
+            let mut rows = std::mem::take(&mut *rows.lock().expect("log lock"));
             rows.sort_by_key(|r| (r.patient, r.step));
             let mut out = String::with_capacity(rows.len() * 32 + 64);
             out.push_str("patient,step,label,proba,health,shed\n");
@@ -474,41 +532,23 @@ fn read_frames(inner: &Arc<Inner>, conn: u64, mut stream: TcpStream, tx: &SyncSe
                     match frame {
                         Frame::Hello { .. } => {} // redundant Hello: ignore
                         Frame::Step { patient, seq, rec } => {
-                            let item = IngestItem {
+                            if let Err(busy) = inner.offer(IngestItem {
                                 conn,
                                 patient,
                                 seq,
                                 kind: IngestKind::Step(rec),
-                            };
-                            let res = inner
-                                .shard_for(patient)
-                                .lock()
-                                .expect("shard lock")
-                                .offer(item);
-                            if let Err(crate::shard::OfferError::QueueFull { queue_len }) = res {
-                                send(Frame::Busy {
-                                    patient,
-                                    queue_len: queue_len as u32,
-                                });
+                            }) {
+                                send(busy);
                             }
                         }
                         Frame::EndSession { patient } => {
-                            let item = IngestItem {
+                            if let Err(busy) = inner.offer(IngestItem {
                                 conn,
                                 patient,
                                 seq: 0,
                                 kind: IngestKind::End,
-                            };
-                            let res = inner
-                                .shard_for(patient)
-                                .lock()
-                                .expect("shard lock")
-                                .offer(item);
-                            if let Err(crate::shard::OfferError::QueueFull { queue_len }) = res {
-                                send(Frame::Busy {
-                                    patient,
-                                    queue_len: queue_len as u32,
-                                });
+                            }) {
+                                send(busy);
                             }
                         }
                         Frame::Goodbye => {
@@ -730,4 +770,63 @@ fn respond(mut stream: TcpStream, status: u16, body: &str) -> io::Result<()> {
     );
     stream.write_all(resp.as_bytes())?;
     stream.flush()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::{replay, ReplayConfig};
+    use cpsmon_core::{DatasetBuilder, MonitorKind, TrainConfig};
+    use cpsmon_sim::{CampaignConfig, SimulatorKind};
+
+    fn rule_serving() -> ServingBundle {
+        let traces = CampaignConfig::new(SimulatorKind::Glucosym)
+            .patients(2)
+            .runs_per_patient(2)
+            .steps(120)
+            .fault_ratio(0.5)
+            .seed(13)
+            .run();
+        let ds = DatasetBuilder::new().seed(13).build(&traces).unwrap();
+        let cfg = TrainConfig::quick_test();
+        let monitor = MonitorKind::RuleBased.train(&ds, &cfg).unwrap();
+        ServingBundle::new(MonitorBundle::new(monitor, &ds, &cfg))
+    }
+
+    fn retained_rows(daemon: &Daemon) -> usize {
+        daemon
+            .inner
+            .log
+            .as_ref()
+            .map_or(0, |(_, rows)| rows.lock().expect("log lock").len())
+    }
+
+    #[test]
+    fn verdicts_are_retained_only_when_a_log_is_configured() {
+        let serving = rule_serving();
+        let path = std::env::temp_dir().join(format!(
+            "cpsmon-daemon-retention-{}.csv",
+            std::process::id()
+        ));
+        for verdict_log in [None, Some(path.clone())] {
+            let logging = verdict_log.is_some();
+            let config = ServeConfig {
+                verdict_log,
+                ..ServeConfig::default()
+            };
+            let daemon = Daemon::start(config, serving.clone()).unwrap();
+            let report = replay(&ReplayConfig {
+                addr: daemon.addr().to_string(),
+                patients: 2,
+                steps: 48,
+                ..ReplayConfig::default()
+            })
+            .unwrap();
+            assert!(report.clean_close && report.verdicts > 0);
+            let expected = if logging { report.verdicts } else { 0 };
+            assert_eq!(retained_rows(&daemon), expected, "logging={logging}");
+            daemon.shutdown().unwrap();
+        }
+        let _ = std::fs::remove_file(&path);
+    }
 }

@@ -139,8 +139,6 @@ fn overload_blast_yields_busy_frames_but_never_kills_the_daemon() {
             tick_budget: None,
             ..ShardConfig::default()
         },
-        // A lazy tick loop so the blast outruns the drain budget.
-        tick_interval: Duration::from_millis(5),
         ..serve_config()
     };
     let daemon = Daemon::start(config, ServingBundle::new(bundle)).unwrap();
@@ -157,6 +155,114 @@ fn overload_blast_yields_busy_frames_but_never_kills_the_daemon() {
     assert!(report.verdicts > 0, "accepted steps still get verdicts");
     assert!(report.clean_close, "the daemon survives the blast");
     daemon.shutdown().unwrap();
+}
+
+/// With no polling timeout left in the tick thread, a lost wakeup would
+/// strand a record in its queue forever. A closed loop exposes that: each
+/// record goes out only after the previous verdict came back, so the tick
+/// thread goes idle and must be woken for every single one.
+#[test]
+fn closed_loop_ping_pong_never_loses_a_wakeup() {
+    let ds = dataset();
+    let serving = ServingBundle::new(rule_bundle(&ds));
+    let window = serving.feature_config().window;
+
+    // An idle daemon shuts down promptly: the sleeping tick thread is
+    // woken by shutdown itself, not by traffic or a timeout.
+    let idle = Daemon::start(serve_config(), serving.clone()).unwrap();
+    std::thread::sleep(Duration::from_millis(50));
+    shutdown_promptly(idle, "idle");
+
+    let daemon = Daemon::start(serve_config(), serving).unwrap();
+    let traces = CampaignConfig::new(SimulatorKind::Glucosym)
+        .patients(2)
+        .runs_per_patient(1)
+        .steps(200)
+        .seed(4)
+        .run();
+    let mut stream = TcpStream::connect(daemon.addr()).unwrap();
+    stream.set_nodelay(true).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(3)))
+        .unwrap();
+    stream
+        .write_all(
+            &Frame::Hello {
+                version: PROTOCOL_VERSION,
+            }
+            .encode(),
+        )
+        .unwrap();
+    let mut decoder = FrameDecoder::new();
+    let mut buf = [0u8; 256];
+    let mut verdicts = 0;
+    // Two patients alternate, so both shards of the default layout wake.
+    for i in 0..400u32 {
+        let (patient, seq) = (u64::from(i % 2), i / 2);
+        if i % 50 == 49 {
+            // An idle gap: the tick thread is asleep well before the
+            // next record arrives.
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        let rec = traces[patient as usize].records()[seq as usize];
+        stream
+            .write_all(&Frame::Step { patient, seq, rec }.encode())
+            .unwrap();
+        if (seq as usize) + 1 < window {
+            continue; // warm-up: no verdict until the window fills
+        }
+        let verdict = loop {
+            if let Some(frame) = decoder.next_frame().unwrap() {
+                break frame;
+            }
+            match stream.read(&mut buf) {
+                Ok(0) => panic!("daemon closed the connection at record {i}"),
+                Ok(n) => decoder.feed(&buf[..n]),
+                Err(e) => panic!("no verdict for record {i} within 3 s (lost wakeup?): {e}"),
+            }
+        };
+        match verdict {
+            Frame::Verdict {
+                patient: p,
+                step,
+                shed,
+                ..
+            } => {
+                assert_eq!((p, step), (patient, seq), "verdict for record {i}");
+                assert!(!shed, "a closed loop never overloads the daemon");
+                verdicts += 1;
+            }
+            other => panic!("record {i}: expected a verdict, got {other:?}"),
+        }
+    }
+    assert_eq!(verdicts, 2 * (200 - window + 1));
+    drop(stream);
+
+    std::thread::sleep(Duration::from_millis(50));
+    shutdown_promptly(daemon, "after the ping-pong");
+}
+
+/// Shuts `daemon` down on a helper thread so that a hang fails the test
+/// instead of stalling the suite.
+fn shutdown_promptly(daemon: Daemon, when: &str) {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || tx.send(daemon.shutdown()));
+    rx.recv_timeout(Duration::from_secs(2))
+        .unwrap_or_else(|_| panic!("shutdown {when} did not return within 2 s"))
+        .unwrap();
+}
+
+#[test]
+fn replay_rejects_more_patients_than_a_campaign_holds() {
+    // Rejected before any connection is attempted: no daemon needed.
+    for patients in [0, CampaignConfig::MAX_PATIENTS + 1] {
+        let err = replay(&ReplayConfig {
+            patients,
+            ..ReplayConfig::default()
+        })
+        .unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
+    }
 }
 
 #[test]

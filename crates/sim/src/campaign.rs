@@ -77,6 +77,9 @@ pub struct CampaignConfig {
 }
 
 impl CampaignConfig {
+    /// Most patient profiles a campaign can draw (the paper's 20).
+    pub const MAX_PATIENTS: usize = 20;
+
     /// Creates a campaign for the given simulator with paper-style
     /// defaults: 20 patients, 10 runs each, 24-hour scenarios, half of the
     /// runs fault-injected.
@@ -91,13 +94,18 @@ impl CampaignConfig {
         }
     }
 
-    /// Number of patient profiles (max 20, matching the paper).
+    /// Number of patient profiles (at most [`Self::MAX_PATIENTS`],
+    /// matching the paper).
     ///
     /// # Panics
     ///
-    /// Panics if `n` is zero or above 20.
+    /// Panics if `n` is zero or above [`Self::MAX_PATIENTS`].
     pub fn patients(mut self, n: usize) -> Self {
-        assert!((1..=20).contains(&n), "patients must be in 1..=20");
+        assert!(
+            (1..=Self::MAX_PATIENTS).contains(&n),
+            "patients must be in 1..={}",
+            Self::MAX_PATIENTS
+        );
         self.patients = n;
         self
     }

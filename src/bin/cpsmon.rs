@@ -21,7 +21,7 @@ use std::time::Duration;
 use cpsmon_bench::{registry, BenchError, Context, Scale};
 use cpsmon_core::{MonitorBundle, MonitorKind};
 use cpsmon_serve::{ChaosPlan, Daemon, ReplayConfig, ServeConfig, ServingBundle};
-use cpsmon_sim::SimulatorKind;
+use cpsmon_sim::{CampaignConfig, SimulatorKind};
 
 const USAGE: &str = "\
 Usage: cpsmon <COMMAND> [OPTIONS]
@@ -49,8 +49,8 @@ Serve options:
   --verdict-log PATH   Write the sorted verdict CSV here at shutdown
 
 Replay options:
-  --patients N         Simulated patients (default: 8)
-  --steps N            Steps per patient (default: 96)
+  --patients N         Simulated patients, 1 to 20 (default: 8)
+  --steps N            Steps per patient, at least 1 (default: 96)
   --seed S             Campaign seed (default: 2022)
   --chaos PLAN         clean|light|storm|hostile transport chaos (default: clean)
 
@@ -257,11 +257,18 @@ fn cmd_replay(addr: &str, rest: &[String]) -> Result<(), CliError> {
     };
     parse_flags(rest, |flag, value| match flag {
         "--patients" => {
+            let max = CampaignConfig::MAX_PATIENTS;
             config.patients = parse_usize(flag, value)?;
+            if !(1..=max).contains(&config.patients) {
+                return Err(format!("{flag} expects 1 to {max}, got '{value}'"));
+            }
             Ok(())
         }
         "--steps" => {
             config.steps = parse_usize(flag, value)?;
+            if config.steps == 0 {
+                return Err(format!("{flag} expects at least 1, got '{value}'"));
+            }
             Ok(())
         }
         "--seed" => {
