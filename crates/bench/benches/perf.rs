@@ -367,6 +367,11 @@ fn bench_lstm_pools(c: &mut Criterion) {
     // gate-block GEMMs. Divide the per-iteration time by 1000 for the
     // per-session step cost; the per-session windowed equivalent is
     // `session_step_lstm`.
+    //
+    // The two serial benches pin one thread, as their history was recorded;
+    // `session_step_pool1k_lstm_par` is the same f64 tick with its row
+    // chunks fanned out over every available worker (the pair mirrors
+    // `sweep_grid_serial` / `sweep_grid_parallel`).
     let (cfg, norm) = session_featurization();
     let records = synthetic_records(512, 11);
     let lstm = paper_lstm();
@@ -379,11 +384,22 @@ fn bench_lstm_pools(c: &mut Criterion) {
     let (qnet, precision) =
         LstmNet::load_with_precision(&mut buf.as_slice()).expect("quantized roundtrip");
     assert_eq!(precision, WeightPrecision::Int8);
+    let parallel = std::thread::available_parallelism().map_or(1, |n| n.get());
     let engines = [
-        ("session_step_pool1k_lstm", LstmEngine::F64(&lstm)),
-        ("session_step_pool1k_lstm_int8", LstmEngine::f32_from(&qnet)),
+        ("session_step_pool1k_lstm", LstmEngine::F64(&lstm), 1),
+        (
+            "session_step_pool1k_lstm_int8",
+            LstmEngine::f32_from(&qnet),
+            1,
+        ),
+        (
+            "session_step_pool1k_lstm_par",
+            LstmEngine::F64(&lstm),
+            parallel,
+        ),
     ];
-    for (name, engine) in engines {
+    for (name, engine, threads) in engines {
+        let _guard = ThreadsGuard::set(threads);
         let mut pool = LstmSessionPool::new(engine, cfg, &norm, 1000);
         let mut step_records: Vec<StepRecord> = Vec::with_capacity(1000);
         let mut next = 0usize;

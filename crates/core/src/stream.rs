@@ -22,8 +22,9 @@
 //!   serving engine — hidden/cell state carried across records
 //!   (one timestep of compute per record instead of a full-window
 //!   recompute), pooled structure-of-arrays so a whole fleet advances
-//!   through one fused GEMM per gate block, at either f64 or f32
-//!   ([`LstmEngine`]) precision. See DESIGN.md §12.
+//!   through one fused GEMM per gate block per fixed row chunk, the chunks
+//!   in parallel, at either f64 or f32 ([`LstmEngine`]) precision. See
+//!   DESIGN.md §12.
 //!
 //! ## Batch-equivalence contract
 //!
@@ -1078,8 +1079,11 @@ struct PendingTick {
 
 /// Reusable scratch for one pool tick: the packed ready-row state, the
 /// batched input, and the ready index list. Lives across ticks so the
-/// steady state performs no allocation — buffers only grow, to the
-/// high-water mark of concurrent ready rows.
+/// steady state allocates no buffer — buffers only grow, to the
+/// high-water mark of concurrent ready rows. (This covers buffers only: a
+/// tick whose rows span several row chunks, with more than one worker
+/// thread allowed, spawns scoped workers, and `drain_ready` returns a
+/// fresh `Vec`.)
 struct PoolArena {
     packed: LstmStreamState,
     x: Matrix,
@@ -1090,8 +1094,9 @@ struct PoolArena {
 /// hidden/cell state of every session lives as one row of
 /// structure-of-arrays matrices ([`LstmStreamState`]), and each
 /// [`drain_ready`](Self::drain_ready) gathers the pushed rows, advances
-/// them through **one** fused GEMM per gate block (the M dimension is the
-/// number of ready sessions), and scatters the state back.
+/// them through one fused GEMM per gate block per fixed row chunk (the
+/// chunks run in parallel on the `cpsmon_nn::par` workers), and scatters
+/// the state back.
 ///
 /// Because every kernel in the engine is row-independent, a pooled
 /// session's verdict stream is bit-identical to the same records fed to a

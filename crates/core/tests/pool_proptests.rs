@@ -4,10 +4,13 @@
 //! bit-identical to running each session individually through
 //! [`LstmStreamSession`], for both the exact f64 engine and the f32 serving
 //! engine. This is the guarantee that lets deployments batch aggressively
-//! without re-validating monitor behaviour.
+//! without re-validating monitor behaviour. Pools larger than one
+//! `par::PREDICT_CHUNK` row chunk step their chunks on parallel workers, so
+//! the same verdicts must also come out for every worker count.
 
 use cpsmon_core::{FeatureConfig, LstmEngine, LstmSessionPool, LstmStreamSession, Normalizer};
 use cpsmon_nn::init::random_normal;
+use cpsmon_nn::par::{self, ThreadsGuard};
 use cpsmon_nn::rng::SmallRng;
 use cpsmon_nn::{LstmConfig, LstmNet};
 use cpsmon_sim::StepRecord;
@@ -60,21 +63,30 @@ fn schedule_strategy() -> impl Strategy<Value = (usize, Vec<Vec<bool>>)> {
     })
 }
 
-/// Drives one pool and `n` individual sessions through the same schedule
-/// and asserts bit-identical verdicts tick by tick.
+/// Per tick and session: `(label, proba bits, step index)` if a verdict
+/// was emitted.
+type VerdictTrace = Vec<Vec<Option<(usize, u64, usize)>>>;
+
+/// Builds the engine under test (f64 or f32) over a fixture network.
+type MakeEngine = dyn Fn(&LstmNet) -> LstmEngine<'_>;
+
+/// Drives one pool and `n` individual sessions through the same schedule,
+/// asserts bit-identical verdicts tick by tick, and returns the pool's
+/// verdict trace.
 fn assert_pool_transparent(
-    make_engine: &dyn Fn(&LstmNet) -> LstmEngine<'_>,
+    make_engine: &MakeEngine,
     seed: u64,
     n: usize,
     schedule: &[Vec<bool>],
     records: &[StepRecord],
-) {
+) -> VerdictTrace {
     let (cfg, norm, net) = fixture(seed);
     let mut pool = LstmSessionPool::new(make_engine(&net), cfg, &norm, n);
     let mut singles: Vec<LstmStreamSession<'_>> = (0..n)
         .map(|_| LstmStreamSession::new(make_engine(&net), cfg, &norm))
         .collect();
     let mut rec_idx = 0usize;
+    let mut trace = Vec::with_capacity(schedule.len());
     for tick in schedule {
         let mut expected: Vec<Option<(usize, u64, usize)>> = vec![None; n];
         for (i, &push) in tick.iter().enumerate() {
@@ -106,6 +118,70 @@ fn assert_pool_transparent(
                     );
                 }
             }
+        }
+        trace.push(
+            out.iter()
+                .map(|v| {
+                    v.as_ref()
+                        .map(|g| (g.verdict.label, g.verdict.proba.to_bits(), g.verdict.step))
+                })
+                .collect(),
+        );
+    }
+    trace
+}
+
+/// A pool spanning three row chunks (the last a single row), so every tick
+/// fans out over the `par` workers when more than one thread is allowed.
+const MULTI_CHUNK_POOL: usize = 2 * par::PREDICT_CHUNK + 1;
+
+#[test]
+fn multi_chunk_pool_is_bit_identical_to_solo_sessions_on_every_thread_count() {
+    let n = MULTI_CHUNK_POOL;
+    let mut rng = SmallRng::new(0x5eed);
+    let records: Vec<StepRecord> = (0..97)
+        .map(|_| {
+            let bg = rng.uniform_range(40.0, 400.0);
+            let rate = rng.uniform_range(0.0, 5.0);
+            StepRecord {
+                bg_true: bg,
+                bg_sensor: bg + rng.normal_with(0.0, 1.5),
+                iob: rng.uniform_range(0.0, 5.0),
+                commanded_rate: rate,
+                delivered_rate: rate,
+                carbs: if rng.bernoulli(0.1) { 45.0 } else { 0.0 },
+            }
+        })
+        .collect();
+    // Even ticks are lockstep (the pool state steps in place). Odd ticks
+    // take the gather/scatter path, alternating between skipping a rotating
+    // third of the sessions (a packed state of two chunks) and pushing only
+    // every seventh (one chunk), so the packed state shrinks and regrows.
+    let schedule: Vec<Vec<bool>> = (0..12)
+        .map(|t| {
+            (0..n)
+                .map(|i| match t % 4 {
+                    1 => (i + t) % 3 != 0,
+                    3 => (i + t) % 7 == 0,
+                    _ => true,
+                })
+                .collect()
+        })
+        .collect();
+    let engines: [(&str, &MakeEngine); 2] = [
+        ("f64", &|net| LstmEngine::F64(net)),
+        ("f32", &|net| LstmEngine::f32_from(net)),
+    ];
+    for (label, make_engine) in engines {
+        let traces: Vec<VerdictTrace> = [1usize, 2, 3]
+            .into_iter()
+            .map(|threads| {
+                let _guard = ThreadsGuard::set(threads);
+                assert_pool_transparent(make_engine, 77, n, &schedule, &records)
+            })
+            .collect();
+        for (threads, trace) in [2, 3].into_iter().zip(&traces[1..]) {
+            assert_eq!(trace, &traces[0], "{label} engine: {threads} threads vs 1");
         }
     }
 }

@@ -231,9 +231,9 @@ impl Lstm {
 
     /// Advances `rows` independent recurrent states by **one** timestep:
     /// `z = x·Wx + b + h·Wh`, then the fused gate update rewrites `h` and
-    /// `c` in place. `x` is `N × input_dim`; `h` and `c` are `N × hidden`
-    /// (row `r` is session `r`'s carried state); `z` is an `N × 4H` scratch
-    /// fully overwritten here.
+    /// `c` in place. `x` holds `N × input_dim` row-major values; `h` and `c`
+    /// are `N × hidden` (row `r` is session `r`'s carried state); `z` is an
+    /// `N × 4H` scratch fully overwritten here.
     ///
     /// Row `r` of the batch goes through exactly the per-element operation
     /// sequence a 1-row call would apply (the GEMM accumulates ascending-`k`
@@ -241,18 +241,55 @@ impl Lstm {
     /// sessions together never changes any session's bits — the invariant
     /// the pooled streaming engine's equivalence tests pin down.
     ///
+    /// `packed` holds the two gate weight matrices as packed by
+    /// [`stream_packs`](Self::stream_packs), so a caller stepping many row
+    /// blocks per tick does not repack them for every block.
+    ///
     /// # Panics
     ///
     /// Panics on any shape mismatch.
-    pub fn step_rows(&self, x: &Matrix, h: &mut Matrix, c: &mut Matrix, z: &mut Matrix) {
-        let n = x.rows();
-        assert_eq!(x.cols(), self.input_dim, "step input width mismatch");
-        assert_eq!(h.shape(), (n, self.hidden_dim), "hidden state shape");
+    pub fn step_rows(
+        &self,
+        x: &[f64],
+        h: &mut Matrix,
+        c: &mut Matrix,
+        z: &mut Matrix,
+        packed: &[Vec<f64>; 2],
+    ) {
+        let n = h.rows();
+        assert_eq!(x.len(), n * self.input_dim, "step input width mismatch");
+        assert_eq!(h.cols(), self.hidden_dim, "hidden state shape");
         assert_eq!(c.shape(), (n, self.hidden_dim), "cell state shape");
-        z.reset_shape(n, 4 * self.hidden_dim);
-        x.matmul_add_bias_into(&self.wx, &self.b, z);
-        h.matmul_acc(&self.wh, z);
+        let gates = 4 * self.hidden_dim;
+        z.reset_shape(n, gates);
+        // The bias-seeded x·Wx of `Matrix::matmul_add_bias_into`, then
+        // `h·Wh` accumulated on top, as `Matrix::matmul_acc` would.
+        let out = z.as_mut_slice();
+        for row in out.chunks_exact_mut(gates) {
+            row.copy_from_slice(self.b.as_slice());
+        }
+        let (k_x, k_h) = (self.input_dim, self.hidden_dim);
+        simd::gemm_acc_packed(x, n, k_x, self.wx.as_slice(), gates, &packed[0], out);
+        simd::gemm_acc_packed(
+            h.as_slice(),
+            n,
+            k_h,
+            self.wh.as_slice(),
+            gates,
+            &packed[1],
+            out,
+        );
         step_state(z, c, h, self.hidden_dim);
+    }
+
+    /// `Wx` and `Wh` packed for [`step_rows`](Self::step_rows)
+    /// ([`simd::pack_b`]); computed once per weight set, not per step.
+    pub fn stream_packs(&self) -> [Vec<f64>; 2] {
+        let gates = 4 * self.hidden_dim;
+        [
+            simd::pack_b(self.wx.as_slice(), self.input_dim, gates),
+            simd::pack_b(self.wh.as_slice(), self.hidden_dim, gates),
+        ]
     }
 
     /// BPTT backward pass.

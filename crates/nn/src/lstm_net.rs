@@ -20,6 +20,7 @@ use crate::matrix::Matrix;
 use crate::model::GradModel;
 use crate::par;
 use crate::rng::SmallRng;
+use std::sync::OnceLock;
 
 /// Reusable forward buffers for [`LstmNet::predict_proba_scratch`]: the
 /// split input timesteps, each layer's hidden-state sequence, per-layer
@@ -82,6 +83,9 @@ pub struct LstmNet {
     classes: usize,
     /// Optional semantic loss used when an indicator batch is supplied.
     pub semantic: SemanticLoss,
+    /// Per-layer gate weights packed for [`step_stream`](Self::step_stream),
+    /// built on its first call and dropped whenever the weights change.
+    stream_packs: OnceLock<Vec<[Vec<f64>; 2]>>,
 }
 
 impl LstmNet {
@@ -114,6 +118,7 @@ impl LstmNet {
             timesteps: config.timesteps,
             classes: config.classes,
             semantic: SemanticLoss::default(),
+            stream_packs: OnceLock::new(),
         }
     }
 
@@ -183,6 +188,7 @@ impl LstmNet {
         self.classes = head.output_dim();
         self.lstms = lstms;
         self.head = head;
+        self.stream_packs = OnceLock::new();
         Ok(())
     }
 
@@ -423,6 +429,7 @@ impl LstmNet {
             merged.expect("at least one chunk")
         };
         trainer.begin_step();
+        self.stream_packs = OnceLock::new();
         let mut off = 0;
         for (lstm, g) in self.lstms.iter_mut().zip(lstm_grads.iter()) {
             off = lstm.apply_update(trainer, off, g);
@@ -451,38 +458,78 @@ impl LstmNet {
 /// f64 too (only weights and GEMMs are single precision), so pools can
 /// gather/scatter rows without caring which engine advances them.
 ///
-/// The `z`/`probs`/f32 buffers are per-tick scratch, fully overwritten by
-/// each step; after the first tick at a given row count the steady state
-/// allocates nothing.
+/// The rows are stored in fixed chunks of [`par::PREDICT_CHUNK`] sessions
+/// (the last may be shorter), each with its own `h`/`c` matrices and its
+/// own per-tick scratch. A tick steps the chunks in parallel on the
+/// [`par`] workers, updating each chunk's state in place; since every
+/// kernel is row-independent, the chunking never changes a bit.
+///
+/// The scratch buffers are fully overwritten by each step; after the first
+/// tick at a given row count the steady state allocates no buffer. (A tick
+/// over more than one chunk with more than one worker thread still spawns
+/// its scoped workers.)
 #[derive(Debug, Clone)]
 pub struct LstmStreamState {
+    hidden: Vec<usize>,
+    chunks: Vec<StateChunk>,
+    probs: Matrix,
+    rows: usize,
+}
+
+/// One fixed row chunk of an [`LstmStreamState`]: the carried state of up
+/// to [`par::PREDICT_CHUNK`] sessions plus the chunk's gate and head
+/// scratch, so chunks step concurrently without sharing a buffer.
+#[derive(Debug, Clone)]
+struct StateChunk {
     h: Vec<Matrix>,
     c: Vec<Matrix>,
     z: Matrix,
     probs: Matrix,
-    rows: usize,
     // f32 engine scratch (empty unless LstmNetF32 drives this state).
     f32_in: Vec<f32>,
     f32_h: Vec<f32>,
     f32_z: Vec<f32>,
 }
 
-impl Default for LstmStreamState {
-    fn default() -> Self {
+impl StateChunk {
+    fn zeros(hidden: &[usize], rows: usize) -> Self {
+        let state = || hidden.iter().map(|&hd| Matrix::zeros(rows, hd)).collect();
         Self {
-            h: Vec::new(),
-            c: Vec::new(),
+            h: state(),
+            c: state(),
             z: Matrix::zeros(0, 0),
             probs: Matrix::zeros(0, 0),
-            rows: 0,
             f32_in: Vec::new(),
             f32_h: Vec::new(),
             f32_z: Vec::new(),
         }
     }
+
+    fn rows(&self) -> usize {
+        self.h[0].rows()
+    }
+}
+
+/// Chunk index and row within that chunk of session row `i`.
+fn locate(i: usize) -> (usize, usize) {
+    (i / par::PREDICT_CHUNK, i % par::PREDICT_CHUNK)
 }
 
 impl LstmStreamState {
+    /// Zeroed state for `rows` sessions of a stack with these hidden widths.
+    fn zeros(hidden: Vec<usize>, rows: usize) -> Self {
+        let chunks = par::chunk_ranges(rows, par::PREDICT_CHUNK)
+            .into_iter()
+            .map(|r| StateChunk::zeros(&hidden, r.len()))
+            .collect();
+        Self {
+            hidden,
+            chunks,
+            probs: Matrix::zeros(0, 0),
+            rows,
+        }
+    }
+
     /// Number of session rows this state carries.
     pub fn rows(&self) -> usize {
         self.rows
@@ -496,15 +543,19 @@ impl LstmStreamState {
     /// Panics if `i >= rows()`.
     pub fn reset_row(&mut self, i: usize) {
         assert!(i < self.rows, "row {i} out of {}", self.rows);
-        for m in self.h.iter_mut().chain(self.c.iter_mut()) {
-            m.row_mut(i).fill(0.0);
+        let (k, r) = locate(i);
+        let chunk = &mut self.chunks[k];
+        for m in chunk.h.iter_mut().chain(chunk.c.iter_mut()) {
+            m.row_mut(r).fill(0.0);
         }
     }
 
     /// Zeroes every row (all sessions restart).
     pub fn reset(&mut self) {
-        for m in self.h.iter_mut().chain(self.c.iter_mut()) {
-            m.map_inplace(|_| 0.0);
+        for chunk in &mut self.chunks {
+            for m in chunk.h.iter_mut().chain(chunk.c.iter_mut()) {
+                m.map_inplace(|_| 0.0);
+            }
         }
     }
 
@@ -516,21 +567,26 @@ impl LstmStreamState {
     /// Panics if the two states belong to different architectures or any
     /// index is out of range.
     pub fn gather_from(&mut self, src: &LstmStreamState, idx: &[usize]) {
-        assert_eq!(self.h.len(), src.h.len(), "layer count mismatch");
+        assert_eq!(self.hidden, src.hidden, "layer count mismatch");
         let n = idx.len();
-        for (dst, s) in self.h.iter_mut().zip(&src.h) {
-            dst.reset_shape(n, s.cols());
-            for (r, &i) in idx.iter().enumerate() {
-                dst.row_mut(r).copy_from_slice(s.row(i));
-            }
-        }
-        for (dst, s) in self.c.iter_mut().zip(&src.c) {
-            dst.reset_shape(n, s.cols());
-            for (r, &i) in idx.iter().enumerate() {
-                dst.row_mut(r).copy_from_slice(s.row(i));
-            }
+        // Chunks beyond the live ones are kept, so their buffers serve the
+        // next larger tick instead of being freed and reallocated.
+        let live = n.div_ceil(par::PREDICT_CHUNK);
+        if self.chunks.len() < live {
+            let hidden = &self.hidden;
+            self.chunks
+                .resize_with(live, || StateChunk::zeros(hidden, 0));
         }
         self.rows = n;
+        for (k, chunk) in self.live_chunks().iter_mut().enumerate() {
+            let rows = (n - k * par::PREDICT_CHUNK).min(par::PREDICT_CHUNK);
+            for m in chunk.h.iter_mut().chain(chunk.c.iter_mut()) {
+                m.reset_shape(rows, m.cols());
+            }
+        }
+        for (r, &i) in idx.iter().enumerate() {
+            self.copy_row(r, src, i);
+        }
     }
 
     /// Writes this state's rows back into rows `idx` of `dst` — the pool's
@@ -541,37 +597,69 @@ impl LstmStreamState {
     /// Panics on architecture mismatch, `idx.len() != rows()`, or any index
     /// out of range.
     pub fn scatter_to(&self, dst: &mut LstmStreamState, idx: &[usize]) {
+        assert_eq!(self.hidden, dst.hidden, "layer count mismatch");
         assert_eq!(idx.len(), self.rows, "index count mismatch");
-        for (s, d) in self.h.iter().zip(dst.h.iter_mut()) {
-            for (r, &i) in idx.iter().enumerate() {
-                d.row_mut(i).copy_from_slice(s.row(r));
-            }
+        for (r, &i) in idx.iter().enumerate() {
+            dst.copy_row(i, self, r);
         }
-        for (s, d) in self.c.iter().zip(dst.c.iter_mut()) {
-            for (r, &i) in idx.iter().enumerate() {
-                d.row_mut(i).copy_from_slice(s.row(r));
-            }
+    }
+
+    /// The chunks holding the current `rows` (a gathered state may also
+    /// keep spare chunks from an earlier, larger gather).
+    fn live_chunks(&mut self) -> &mut [StateChunk] {
+        &mut self.chunks[..self.rows.div_ceil(par::PREDICT_CHUNK)]
+    }
+
+    /// Copies session row `from` of `src` over this state's row `to`.
+    fn copy_row(&mut self, to: usize, src: &LstmStreamState, from: usize) {
+        let ((dk, dr), (sk, sr)) = (locate(to), locate(from));
+        let (dst, src) = (&mut self.chunks[dk], &src.chunks[sk]);
+        let layers = dst.h.iter_mut().zip(&src.h);
+        for (d, s) in layers.chain(dst.c.iter_mut().zip(&src.c)) {
+            d.row_mut(dr).copy_from_slice(s.row(sr));
         }
+    }
+
+    /// The chunked tick both engines share: runs `step_chunk` on every row
+    /// chunk with that chunk's rows of `x`, fanned out over the [`par`]
+    /// workers (one chunk, one thread, or a nested call runs inline), then
+    /// stacks the chunks' `rows × classes` probabilities in row order.
+    fn step_chunks<F>(
+        &mut self,
+        x: &Matrix,
+        hidden: impl Iterator<Item = usize>,
+        classes: usize,
+        step_chunk: F,
+    ) -> &Matrix
+    where
+        F: Fn(&[f64], &mut StateChunk) + Sync,
+    {
+        assert_eq!(x.rows(), self.rows, "state row-count mismatch");
+        assert!(
+            self.hidden.iter().copied().eq(hidden),
+            "state layer mismatch"
+        );
+        let width = x.cols();
+        par::for_each_mut(self.live_chunks(), |k, chunk| {
+            let start = k * par::PREDICT_CHUNK * width;
+            step_chunk(&x.as_slice()[start..start + chunk.rows() * width], chunk);
+        });
+        self.probs.reset_shape(self.rows, classes);
+        let stacked = self
+            .probs
+            .as_mut_slice()
+            .chunks_mut(par::PREDICT_CHUNK * classes);
+        for (dst, chunk) in stacked.zip(&self.chunks) {
+            dst.copy_from_slice(chunk.probs.as_slice());
+        }
+        &self.probs
     }
 }
 
 impl LstmNet {
     /// Fresh zeroed recurrent state for `rows` streaming sessions.
     pub fn stream_state(&self, rows: usize) -> LstmStreamState {
-        LstmStreamState {
-            h: self
-                .lstms
-                .iter()
-                .map(|l| Matrix::zeros(rows, l.hidden_dim()))
-                .collect(),
-            c: self
-                .lstms
-                .iter()
-                .map(|l| Matrix::zeros(rows, l.hidden_dim()))
-                .collect(),
-            rows,
-            ..LstmStreamState::default()
-        }
+        LstmStreamState::zeros(self.lstms.iter().map(Lstm::hidden_dim).collect(), rows)
     }
 
     /// Advances every session row by one timestep and returns the class
@@ -584,10 +672,13 @@ impl LstmNet {
     /// since [`LstmStreamState::reset_row`]), not a sliding window, and are
     /// emitted from the very first record (zero initial state).
     ///
-    /// Every kernel invoked here is row-wise with a fixed per-element
-    /// operation sequence, so row `r`'s outputs are bit-identical whether
-    /// stepped alone or batched with any other sessions — the pooled
-    /// engine's core invariant.
+    /// Each row chunk of the state runs every layer (bias seed, `x·Wx`,
+    /// `h·Wh`, gate update) and the head for its own rows, in parallel
+    /// across chunks. Every kernel invoked here is row-wise with a fixed
+    /// per-element operation sequence, so row `r`'s outputs are
+    /// bit-identical whether stepped alone or batched with any other
+    /// sessions, in any chunk, on any thread count — the pooled engine's
+    /// core invariant.
     ///
     /// # Panics
     ///
@@ -595,21 +686,23 @@ impl LstmNet {
     ///
     /// [`predict_proba_scratch`]: Self::predict_proba_scratch
     pub fn step_stream<'s>(&self, x: &Matrix, state: &'s mut LstmStreamState) -> &'s Matrix {
-        let n = x.rows();
         assert_eq!(x.cols(), self.feature_dim, "step width mismatch");
-        assert_eq!(n, state.rows, "state row-count mismatch");
-        assert_eq!(state.h.len(), self.lstms.len(), "state layer mismatch");
-        let LstmStreamState { h, c, z, probs, .. } = state;
-        for (i, lstm) in self.lstms.iter().enumerate() {
-            let (done, todo) = h.split_at_mut(i);
-            let input: &Matrix = if i == 0 { x } else { &done[i - 1] };
-            lstm.step_rows(input, &mut todo[0], &mut c[i], z);
-        }
-        let last_h = h.last().expect("at least one layer");
-        probs.reset_shape(n, self.classes);
-        self.head.forward_into(last_h, probs);
-        softmax_rows_inplace(probs);
-        &state.probs
+        let packs = self
+            .stream_packs
+            .get_or_init(|| self.lstms.iter().map(Lstm::stream_packs).collect());
+        let hidden = self.lstms.iter().map(Lstm::hidden_dim);
+        state.step_chunks(x, hidden, self.classes, |x, chunk| {
+            let StateChunk { h, c, z, probs, .. } = chunk;
+            for (i, lstm) in self.lstms.iter().enumerate() {
+                let (done, todo) = h.split_at_mut(i);
+                let input = if i == 0 { x } else { done[i - 1].as_slice() };
+                lstm.step_rows(input, &mut todo[0], &mut c[i], z, &packs[i]);
+            }
+            let last_h = h.last().expect("at least one layer");
+            probs.reset_shape(last_h.rows(), self.classes);
+            self.head.forward_into(last_h, probs);
+            softmax_rows_inplace(probs);
+        })
     }
 }
 
@@ -682,91 +775,76 @@ impl LstmNetF32 {
     /// interchangeable with [`LstmNet::stream_state`] for the same
     /// architecture.
     pub fn stream_state(&self, rows: usize) -> LstmStreamState {
-        LstmStreamState {
-            h: self
-                .layers
-                .iter()
-                .map(|l| Matrix::zeros(rows, l.hidden_dim))
-                .collect(),
-            c: self
-                .layers
-                .iter()
-                .map(|l| Matrix::zeros(rows, l.hidden_dim))
-                .collect(),
-            rows,
-            ..LstmStreamState::default()
-        }
+        LstmStreamState::zeros(self.layers.iter().map(|l| l.hidden_dim).collect(), rows)
     }
 
     /// Advances every session row by one timestep — the f32 analogue of
-    /// [`LstmNet::step_stream`], with the same row-independence guarantee
-    /// (each row's bits are unchanged by batching).
+    /// [`LstmNet::step_stream`], on the same chunked driver and with the
+    /// same row-independence guarantee (each row's bits are unchanged by
+    /// batching, chunking or the thread count).
     ///
     /// # Panics
     ///
     /// Panics if `x` is not `state.rows() × feature_dim`.
     pub fn step_stream<'s>(&self, x: &Matrix, state: &'s mut LstmStreamState) -> &'s Matrix {
         use crate::simd::{gemm_acc_f32, lstm_step_row};
-        let n = x.rows();
         assert_eq!(x.cols(), self.feature_dim, "step width mismatch");
-        assert_eq!(n, state.rows, "state row-count mismatch");
-        assert_eq!(state.h.len(), self.layers.len(), "state layer mismatch");
-        let LstmStreamState {
-            h,
-            c,
-            z,
-            probs,
-            f32_in,
-            f32_h,
-            f32_z,
-            ..
-        } = state;
-        // Layer input in f32; starts as the record batch itself.
-        f32_in.clear();
-        f32_in.extend(x.as_slice().iter().map(|&v| v as f32));
-        let mut in_dim = self.feature_dim;
-        for (i, layer) in self.layers.iter().enumerate() {
-            let hd = layer.hidden_dim;
-            debug_assert_eq!(in_dim, layer.input_dim);
-            let (done, todo) = h.split_at_mut(i);
-            let _ = done;
-            let h_i = &mut todo[0];
-            // Pre-update hidden state → f32 for the recurrent GEMM.
-            f32_h.clear();
-            f32_h.extend(h_i.as_slice().iter().map(|&v| v as f32));
-            // z = b (seed) + x·Wx + h·Wh, all single precision.
+        let hidden = self.layers.iter().map(|l| l.hidden_dim);
+        state.step_chunks(x, hidden, self.classes, |x, chunk| {
+            let StateChunk {
+                h,
+                c,
+                z,
+                probs,
+                f32_in,
+                f32_h,
+                f32_z,
+            } = chunk;
+            let n = h[0].rows();
+            // Layer input in f32; starts as the record rows themselves.
+            f32_in.clear();
+            f32_in.extend(x.iter().map(|&v| v as f32));
+            let mut in_dim = self.feature_dim;
+            for (i, layer) in self.layers.iter().enumerate() {
+                let hd = layer.hidden_dim;
+                debug_assert_eq!(in_dim, layer.input_dim);
+                let h_i = &mut h[i];
+                // Pre-update hidden state → f32 for the recurrent GEMM.
+                f32_h.clear();
+                f32_h.extend(h_i.as_slice().iter().map(|&v| v as f32));
+                // z = b (seed) + x·Wx + h·Wh, all single precision.
+                f32_z.clear();
+                for _ in 0..n {
+                    f32_z.extend_from_slice(&layer.b);
+                }
+                gemm_acc_f32(f32_in, n, layer.input_dim, &layer.wx, 4 * hd, f32_z);
+                gemm_acc_f32(f32_h, n, hd, &layer.wh, 4 * hd, f32_z);
+                // Gate nonlinearities in f64 through the dispatched kernel.
+                z.reset_shape(n, 4 * hd);
+                for (d, &s) in z.as_mut_slice().iter_mut().zip(f32_z.iter()) {
+                    *d = f64::from(s);
+                }
+                for r in 0..n {
+                    let hr = h_i.row_mut(r);
+                    lstm_step_row(z.row(r), c[i].row_mut(r), hr, hd);
+                }
+                // Post-update hidden state feeds the next layer.
+                f32_in.clear();
+                f32_in.extend(h_i.as_slice().iter().map(|&v| v as f32));
+                in_dim = hd;
+            }
+            // Head + softmax: f32 GEMM, f64 normalization.
             f32_z.clear();
             for _ in 0..n {
-                f32_z.extend_from_slice(&layer.b);
+                f32_z.extend_from_slice(&self.head_b);
             }
-            gemm_acc_f32(f32_in, n, layer.input_dim, &layer.wx, 4 * hd, f32_z);
-            gemm_acc_f32(f32_h, n, hd, &layer.wh, 4 * hd, f32_z);
-            // Gate nonlinearities in f64 through the dispatched kernel.
-            z.reset_shape(n, 4 * hd);
-            for (d, &s) in z.as_mut_slice().iter_mut().zip(f32_z.iter()) {
+            gemm_acc_f32(f32_in, n, in_dim, &self.head_w, self.classes, f32_z);
+            probs.reset_shape(n, self.classes);
+            for (d, &s) in probs.as_mut_slice().iter_mut().zip(f32_z.iter()) {
                 *d = f64::from(s);
             }
-            for r in 0..n {
-                let hr = h_i.row_mut(r);
-                lstm_step_row(z.row(r), c[i].row_mut(r), hr, hd);
-            }
-            // Post-update hidden state feeds the next layer.
-            f32_in.clear();
-            f32_in.extend(h_i.as_slice().iter().map(|&v| v as f32));
-            in_dim = hd;
-        }
-        // Head + softmax: f32 GEMM, f64 normalization.
-        f32_z.clear();
-        for _ in 0..n {
-            f32_z.extend_from_slice(&self.head_b);
-        }
-        gemm_acc_f32(f32_in, n, in_dim, &self.head_w, self.classes, f32_z);
-        probs.reset_shape(n, self.classes);
-        for (d, &s) in probs.as_mut_slice().iter_mut().zip(f32_z.iter()) {
-            *d = f64::from(s);
-        }
-        softmax_rows_inplace(probs);
-        &state.probs
+            softmax_rows_inplace(probs);
+        })
     }
 }
 
@@ -968,6 +1046,61 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn step_stream_inside_a_par_worker_runs_inline_with_same_bits() {
+        // A pool tick reached from inside another fan-out (a sweep cell, a
+        // cohort shard) must not fan out again: it runs its chunks inline
+        // on the worker and still yields the top-level bits.
+        let net = tiny_net(25);
+        let eng = LstmNetF32::from_net(&net);
+        let n = 2 * par::PREDICT_CHUNK + 1;
+        let ticks: Vec<Matrix> = (0..3)
+            .map(|t| random_normal(n, 3, 1.0, &mut SmallRng::new(500 + t)))
+            .collect();
+        let run = |f32_engine: bool| {
+            let mut state = net.stream_state(n);
+            let mut out = Vec::new();
+            for x in &ticks {
+                let p = if f32_engine {
+                    eng.step_stream(x, &mut state)
+                } else {
+                    net.step_stream(x, &mut state)
+                };
+                out.extend(p.as_slice().iter().map(|v| v.to_bits()));
+            }
+            out
+        };
+        let _guard = par::ThreadsGuard::set(2);
+        let top = [run(false), run(true)];
+        let mut nested = vec![Vec::new(); 2];
+        par::for_each_mut(&mut nested, |i, out| {
+            assert_eq!(par::max_threads(), 1, "nested tick would fan out");
+            *out = run(i == 1);
+        });
+        assert_eq!(nested[0], top[0], "f64 engine diverged when nested");
+        assert_eq!(nested[1], top[1], "f32 engine diverged when nested");
+    }
+
+    #[test]
+    fn step_stream_repacks_weights_after_training() {
+        let mut net = tiny_net(26);
+        let x = random_normal(6, 3, 1.0, &mut SmallRng::new(600));
+        net.step_stream(&x, &mut net.stream_state(6));
+        let (batch, labels) = (
+            random_normal(8, 12, 1.0, &mut SmallRng::new(601)),
+            [0, 1].repeat(4),
+        );
+        let mut trainer = AdamTrainer::new(net.param_count(), 0.05);
+        net.train_batch(&batch, &labels, None, &mut trainer);
+        let mut unpacked = net.clone();
+        unpacked.stream_packs = OnceLock::new();
+        let p = net.step_stream(&x, &mut net.stream_state(6)).clone();
+        let q = unpacked
+            .step_stream(&x, &mut unpacked.stream_state(6))
+            .clone();
+        assert_eq!(p, q, "stepping used the pre-training weight packs");
     }
 
     #[test]

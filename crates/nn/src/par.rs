@@ -3,13 +3,15 @@
 //!
 //! # Determinism contract
 //!
-//! Every parallel routine in `cpsmon` is built on [`run_chunks`], which
-//! guarantees **bit-identical results for every thread count**, including 1:
+//! Every parallel routine in `cpsmon` is built on [`run_chunks`] (or, for
+//! in-place updates of disjoint chunks, on [`for_each_mut`], which
+//! `run_chunks` itself runs on). Both guarantee **bit-identical results for
+//! every thread count**, including 1:
 //!
 //! 1. Work is split into chunks whose boundaries are a pure function of the
 //!    input size and a *fixed* chunk size — never of the thread count.
-//! 2. Each chunk is computed independently (workers pull chunk indices from
-//!    an atomic counter, so *scheduling* is nondeterministic, but no chunk's
+//! 2. Each chunk is computed independently (workers pull chunks from a
+//!    shared queue, so *scheduling* is nondeterministic, but no chunk's
 //!    result depends on another's).
 //! 3. Results are merged in ascending chunk order.
 //!
@@ -34,14 +36,13 @@
 //! [`max_threads`] reads the `CPSMON_THREADS` environment variable
 //! (a positive integer; invalid values are ignored) and falls back to
 //! [`std::thread::available_parallelism`]. Nested fan-outs run serially: a
-//! worker thread that reaches another `run_chunks` call executes it inline,
+//! worker thread that reaches another fan-out executes it inline,
 //! so grid-level parallelism (robustness sweeps) composes with batch-level
 //! parallelism (chunked prediction) without oversubscription.
 
 use crate::matrix::Matrix;
 use std::cell::Cell;
 use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
 /// Rows per chunk for parallel prediction (forward passes are
@@ -53,7 +54,7 @@ pub const PREDICT_CHUNK: usize = 64;
 pub const GRAD_CHUNK: usize = 64;
 
 thread_local! {
-    /// Set inside `run_chunks` workers so nested fan-outs run serially.
+    /// Set inside fan-out workers so nested fan-outs run serially.
     static IN_WORKER: Cell<bool> = const { Cell::new(false) };
 }
 
@@ -105,45 +106,74 @@ where
     T: Send,
     F: Fn(Range<usize>) -> T + Sync,
 {
-    let ranges = chunk_ranges(n, chunk);
-    let threads = max_threads().min(ranges.len());
+    let mut jobs: Vec<(Range<usize>, Option<T>)> = chunk_ranges(n, chunk)
+        .into_iter()
+        .map(|r| (r, None))
+        .collect();
+    for_each_mut(&mut jobs, |_, (range, out)| {
+        *out = Some(worker(range.clone()))
+    });
+    jobs.into_iter()
+        .map(|(_, out)| out.expect("every chunk ran exactly once"))
+        .collect()
+}
+
+/// Runs `worker(i, &mut items[i])` once for every item, fanning the items
+/// out over up to [`max_threads`] scoped workers — the primitive for work
+/// that updates disjoint chunks of a caller-owned buffer in place.
+///
+/// Workers claim items in ascending order from a shared queue, so
+/// scheduling is nondeterministic, but each call sees only its own item:
+/// as long as `worker` is a pure function of `(i, item)`, the result is
+/// identical for every thread count. With one item, one thread, or inside
+/// another fan-out's worker, the items run inline on the calling thread, in
+/// order, and no thread is spawned.
+///
+/// # Panics
+///
+/// Re-raises any panic from `worker`.
+pub fn for_each_mut<T, F>(items: &mut [T], worker: F)
+where
+    T: Send,
+    F: Fn(usize, &mut T) + Sync,
+{
+    // A single item never fans out, so it skips the environment lookup.
+    let threads = match items.len() {
+        0 | 1 => 1,
+        n => max_threads().min(n),
+    };
     if threads <= 1 {
-        return ranges.into_iter().map(worker).collect();
+        for (i, item) in items.iter_mut().enumerate() {
+            worker(i, item);
+        }
+        return;
     }
-    let next = AtomicUsize::new(0);
-    let ranges_ref = &ranges;
-    let worker_ref = &worker;
-    let next_ref = &next;
-    let mut per_thread: Vec<Vec<(usize, T)>> = std::thread::scope(|s| {
+    let queue = Mutex::new(items.iter_mut().enumerate());
+    let (queue, worker) = (&queue, &worker);
+    std::thread::scope(|s| {
         let handles: Vec<_> = (0..threads)
             .map(|_| {
                 s.spawn(move || {
                     IN_WORKER.with(|w| w.set(true));
-                    let mut local = Vec::new();
                     loop {
-                        let i = next_ref.fetch_add(1, Ordering::Relaxed);
-                        let Some(range) = ranges_ref.get(i) else {
+                        // The lock is released at the end of this
+                        // statement, before the item runs.
+                        let next = queue
+                            .lock()
+                            .expect("the queue lock guards only `next`, which cannot panic")
+                            .next();
+                        let Some((i, item)) = next else {
                             break;
                         };
-                        local.push((i, worker_ref(range.clone())));
+                        worker(i, item);
                     }
-                    local
                 })
             })
             .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
-            .collect()
+        for h in handles {
+            h.join().unwrap_or_else(|e| std::panic::resume_unwind(e));
+        }
     });
-    let mut slots: Vec<Option<T>> = std::iter::repeat_with(|| None).take(ranges.len()).collect();
-    for (i, value) in per_thread.drain(..).flatten() {
-        slots[i] = Some(value);
-    }
-    slots
-        .into_iter()
-        .map(|s| s.expect("every chunk index was claimed exactly once"))
-        .collect()
 }
 
 /// Applies a row-chunk transform to `x` in parallel and stacks the results.
@@ -287,6 +317,80 @@ mod tests {
                 vec![30, 31, 32]
             ]
         );
+    }
+
+    #[test]
+    fn for_each_mut_updates_every_item_in_place() {
+        for threads in [1usize, 2, 3, 8] {
+            let _guard = ThreadsGuard::set(threads);
+            let mut items = vec![0usize; 11];
+            for_each_mut(&mut items, |i, v| *v = i * i + 1);
+            let expected: Vec<usize> = (0..11).map(|i| i * i + 1).collect();
+            assert_eq!(items, expected, "threads = {threads}");
+        }
+    }
+
+    #[test]
+    fn for_each_mut_honours_max_threads() {
+        let caller = std::thread::current().id();
+        let workers_used = |threads: usize| {
+            let _guard = ThreadsGuard::set(threads);
+            let ids = Mutex::new(Vec::new());
+            let mut items = vec![(); 16];
+            for_each_mut(&mut items, |_, _| {
+                std::thread::sleep(std::time::Duration::from_millis(1));
+                ids.lock().unwrap().push(std::thread::current().id());
+            });
+            let mut ids = ids.into_inner().unwrap();
+            assert_eq!(ids.len(), 16, "every item runs once");
+            ids.sort_by_key(|id| format!("{id:?}"));
+            ids.dedup();
+            ids
+        };
+        assert_eq!(workers_used(1), vec![caller], "one thread runs inline");
+        let two = workers_used(2);
+        assert!(
+            two.len() <= 2,
+            "{} workers for max_threads() = 2",
+            two.len()
+        );
+        assert!(!two.contains(&caller), "fan-out runs on scoped workers");
+    }
+
+    #[test]
+    fn for_each_mut_nested_call_runs_inline() {
+        let _guard = ThreadsGuard::set(4);
+        let mut outer = vec![Vec::new(); 4];
+        for_each_mut(&mut outer, |i, seen: &mut Vec<(usize, usize)>| {
+            assert_eq!(max_threads(), 1);
+            let me = std::thread::current().id();
+            let mut inner = vec![(0usize, 0usize); 3];
+            for_each_mut(&mut inner, |j, slot| {
+                assert_eq!(
+                    std::thread::current().id(),
+                    me,
+                    "nested item left the worker"
+                );
+                *slot = (i, j);
+            });
+            *seen = inner;
+        });
+        for (i, seen) in outer.iter().enumerate() {
+            assert_eq!(seen, &vec![(i, 0), (i, 1), (i, 2)]);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "item exploded")]
+    fn for_each_mut_worker_panics_propagate() {
+        let _guard = ThreadsGuard::set(2);
+        let mut items = vec![0usize; 8];
+        for_each_mut(&mut items, |i, v| {
+            if i == 5 {
+                panic!("item exploded");
+            }
+            *v = i;
+        });
     }
 
     #[test]

@@ -235,6 +235,54 @@ pub fn gemm_acc(a: &[f64], m: usize, k: usize, b: &[f64], n: usize, out: &mut [f
     }
 }
 
+/// `b` (`k × n`, row-major) re-laid out once for repeated
+/// [`gemm_acc_packed`] calls: the AVX-512 tier's kk-major 16-column panels
+/// (the layout its [`gemm_acc`] otherwise repacks on every large call), or
+/// empty when the active backend reads `b` in place.
+///
+/// # Panics
+///
+/// Panics if `b.len() != k · n`.
+pub fn pack_b(b: &[f64], k: usize, n: usize) -> Vec<f64> {
+    assert_eq!(b.len(), k * n, "gemm rhs buffer length mismatch");
+    let mut packed = Vec::new();
+    #[cfg(target_arch = "x86_64")]
+    if backend() == Backend::Avx512 {
+        avx512::pack_b_into(b, k, n, &mut packed);
+    }
+    packed
+}
+
+/// [`gemm_acc`] over a `b` pre-packed by [`pack_b`], for a weight matrix
+/// that is multiplied many times. Packing only moves memory, so the result
+/// is bit-identical to `gemm_acc(a, m, k, b, n, out)`; an empty `packed`
+/// is exactly that call.
+///
+/// # Panics
+///
+/// Panics if any buffer length disagrees with the stated shape, including
+/// a non-empty `packed` that is not `pack_b(b, k, n)`'s length.
+pub fn gemm_acc_packed(
+    a: &[f64],
+    m: usize,
+    k: usize,
+    b: &[f64],
+    n: usize,
+    packed: &[f64],
+    out: &mut [f64],
+) {
+    #[cfg(target_arch = "x86_64")]
+    if !packed.is_empty() && backend() == Backend::Avx512 {
+        check_gemm_shapes(a, m, k, b, n, out);
+        assert_eq!(packed.len(), k * (n - n % 16), "packed rhs length mismatch");
+        // SAFETY: the backend resolved to AVX-512 only after detecting
+        // AVX-512F and AVX2+FMA, and the shapes and panel length are
+        // asserted above.
+        return unsafe { avx512::gemm_acc_prepacked(a, m, k, b, n, out, packed) };
+    }
+    gemm_acc(a, m, k, b, n, out)
+}
+
 /// The portable blocked `ikj` GEMM with a 4-wide unroll over `k` —
 /// bit-identical to the naive triple loop (sequential `+=` per element)
 /// over whatever `out` was seeded with.
@@ -805,19 +853,47 @@ mod avx512 {
         if m >= PACK_MIN_M && n >= 16 {
             return PACK_B.with(|cell| {
                 let mut buf = cell.borrow_mut();
-                let n16 = n - n % 16;
-                buf.resize(k * n16, 0.0);
-                for jt in 0..n16 / 16 {
-                    let panel = &mut buf[jt * k * 16..(jt + 1) * k * 16];
-                    for kk in 0..k {
-                        panel[kk * 16..kk * 16 + 16]
-                            .copy_from_slice(&b[kk * n + jt * 16..kk * n + jt * 16 + 16]);
-                    }
-                }
+                pack_b_into(b, k, n, &mut buf);
                 unsafe { gemm_acc_inner(a, m, k, b, n, out, buf.as_ptr()) }
             });
         }
         gemm_acc_inner(a, m, k, b, n, out, std::ptr::null());
+    }
+
+    /// Writes `b`'s first `n - n % 16` columns into `buf` as kk-major
+    /// 16-column panels (empty for `n < 16`).
+    pub fn pack_b_into(b: &[f64], k: usize, n: usize, buf: &mut Vec<f64>) {
+        let n16 = n - n % 16;
+        buf.resize(k * n16, 0.0);
+        for jt in 0..n16 / 16 {
+            let panel = &mut buf[jt * k * 16..(jt + 1) * k * 16];
+            for kk in 0..k {
+                panel[kk * 16..kk * 16 + 16]
+                    .copy_from_slice(&b[kk * n + jt * 16..kk * n + jt * 16 + 16]);
+            }
+        }
+    }
+
+    /// [`gemm_acc`] with the panels already packed by [`pack_b_into`].
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX-512F plus AVX2+FMA; buffer lengths must match the
+    /// stated shapes and `packed` must hold `k · (n - n % 16)` values
+    /// (checked by the safe wrapper).
+    #[target_feature(enable = "avx512f", enable = "avx2", enable = "fma")]
+    pub unsafe fn gemm_acc_prepacked(
+        a: &[f64],
+        m: usize,
+        k: usize,
+        b: &[f64],
+        n: usize,
+        out: &mut [f64],
+        packed: &[f64],
+    ) {
+        // SAFETY: the caller guarantees the CPU features, the shapes and
+        // that `packed` covers every panel the kernel reads.
+        gemm_acc_inner(a, m, k, b, n, out, packed.as_ptr());
     }
 
     /// The microkernel proper. `pack` is either null (read B rows in
@@ -1606,6 +1682,29 @@ mod tests {
         assert_eq!(Backend::Avx2Fma.label(), "avx2+fma");
         assert_eq!(Backend::Avx512.label(), "avx512");
         assert_eq!(Backend::Neon.label(), "neon");
+    }
+
+    #[test]
+    fn prepacked_gemm_is_bit_identical_to_gemm_acc() {
+        let mut rng = crate::rng::SmallRng::new(0x9ac);
+        for (m, k, n) in [
+            (1, 6, 512),
+            (3, 130, 20),
+            (5, 64, 256),
+            (64, 128, 512),
+            (70, 7, 8),
+        ] {
+            let a: Vec<f64> = (0..m * k).map(|_| rng.normal()).collect();
+            let b: Vec<f64> = (0..k * n).map(|_| rng.normal()).collect();
+            let seed: Vec<f64> = (0..m * n).map(|_| rng.normal()).collect();
+            let mut want = seed.clone();
+            gemm_acc(&a, m, k, &b, n, &mut want);
+            let packed = pack_b(&b, k, n);
+            let mut got = seed;
+            gemm_acc_packed(&a, m, k, &b, n, &packed, &mut got);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "{m}x{k}x{n}");
+        }
     }
 
     #[test]

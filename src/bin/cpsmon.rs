@@ -45,7 +45,7 @@ Bundle options:
 Serve options:
   --addr HOST:PORT     Ingest listener (default: 127.0.0.1:9090)
   --admin HOST:PORT    Admin HTTP listener (default: 127.0.0.1:9091, 'off' disables)
-  --shards N           Session shards (default: 4)
+  --shards N           Session shards (default: 2)
   --verdict-log PATH   Write the sorted verdict CSV here at shutdown
 
 Replay options:

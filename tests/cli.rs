@@ -1,5 +1,6 @@
-//! Usage errors of the `cpsmon` binary: out-of-range arguments exit 2
-//! with a message naming the flag, never a panic.
+//! The `cpsmon` binary's usage surface: out-of-range arguments exit 2
+//! with a message naming the flag, never a panic, and the help text
+//! states the defaults the code really uses.
 
 use std::process::Command;
 
@@ -17,4 +18,23 @@ fn replay_rejects_out_of_range_fleet_sizes_with_a_usage_error() {
         assert!(stderr.contains(flag[0]), "{flag:?}: {stderr}");
         assert!(!stderr.contains("panicked"), "{flag:?}: {stderr}");
     }
+}
+
+#[test]
+fn help_states_the_real_serve_shard_default() {
+    let out = Command::new(env!("CARGO_BIN_EXE_cpsmon"))
+        .arg("--help")
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let help = String::from_utf8_lossy(&out.stdout);
+    let line = help
+        .lines()
+        .find(|l| l.trim_start().starts_with("--shards"))
+        .unwrap_or_else(|| panic!("no --shards line in:\n{help}"));
+    let default = cpsmon_serve::ServeConfig::default().shards;
+    assert!(
+        line.ends_with(&format!("(default: {default})")),
+        "usage says `{line}`, ServeConfig::default() has {default} shards"
+    );
 }
